@@ -7,7 +7,7 @@ GO ?= go
 # proxy, no global install needed).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test vet lint race bench bench-smoke scale-smoke live-smoke \
+.PHONY: build test vet lint lint-local race bench bench-smoke scale-smoke live-smoke \
 	experiments figures fuzz fuzz-smoke test-invariants test-determinism \
 	pgo profile clean
 
@@ -25,6 +25,12 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
+
+# The offline half of lint (gofmt + vet): needs no module download, so it
+# runs anywhere the toolchain does.
+lint-local:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+	$(GO) vet ./...
 
 test: vet
 	$(GO) test ./...

@@ -137,7 +137,7 @@ func schedState(rate float64) *core.State {
 		SLO:          core.DefaultSLO,
 		Current:      hw,
 		HasCurrent:   true,
-		Entry:        profile.Lookup(m, hw),
+		Row:          profile.Resolve(m, hw),
 		PredictedRPS: rate,
 		ObservedRPS:  rate,
 	}

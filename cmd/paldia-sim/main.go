@@ -203,7 +203,7 @@ func main() {
 	results := make([]core.Result, len(schemes))
 	recs := make([]*telemetry.Recorder, len(schemes))
 	checks := make([]*invariant.Checker, len(schemes))
-	pool.Map(len(schemes), func(i int) {
+	schemeCfg := func(i int) core.Config {
 		cfg := core.Config{
 			Model:           m,
 			Trace:           tr,
@@ -215,6 +215,13 @@ func main() {
 			FailureDuration: *failFor,
 		}
 		red.apply(&cfg)
+		return cfg
+	}
+	for i := range schemes {
+		mustValidate(schemeCfg(i))
+	}
+	pool.Map(len(schemes), func(i int) {
+		cfg := schemeCfg(i)
 		if telemetryOn {
 			recs[i] = telemetry.NewRecorder()
 			cfg.Telemetry = recs[i]
@@ -327,6 +334,15 @@ func (rf redFlags) apply(cfg *core.Config) {
 	cfg.RevokeNotice = rf.revokeNotice
 }
 
+// mustValidate refuses to run a config core.Config.Validate rejects: it
+// prints the reasons and exits 1 before any simulation starts.
+func mustValidate(cfg core.Config) {
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "invalid configuration: %v\n", err)
+		os.Exit(1)
+	}
+}
+
 // runStream is the constant-memory serving path: arrivals come one at a time
 // from the rate curve (core.Config.Stream) and metrics aggregate online
 // (core.MetricsOnline), so memory is independent of request count. Telemetry,
@@ -424,7 +440,7 @@ func runStream(o streamRun) {
 	}
 	results := make([]core.Result, len(schemes))
 	checks := make([]*invariant.Checker, len(schemes))
-	runOne := func(i int) {
+	schemeCfg := func(i int) core.Config {
 		cfg := core.Config{
 			Model:           o.model,
 			Stream:          streams[i],
@@ -437,6 +453,13 @@ func runStream(o streamRun) {
 			FailureDuration: o.failFor,
 		}
 		o.red.apply(&cfg)
+		return cfg
+	}
+	for i := range schemes {
+		mustValidate(schemeCfg(i))
+	}
+	runOne := func(i int) {
+		cfg := schemeCfg(i)
 		if sw != nil {
 			cfg.Telemetry = sw
 			cfg.SampleEvery = o.sample
@@ -623,6 +646,7 @@ func runStreamGrid(o streamRun) {
 			FailureDuration: o.failFor,
 		}
 		o.red.apply(&cfg)
+		mustValidate(cfg)
 		if mw != nil {
 			cfg.Telemetry = mw.Lane(i)
 			cfg.SampleEvery = o.sample

@@ -30,6 +30,38 @@ func TestDesiredHardwareAllocFree(t *testing.T) {
 			t.Fatalf("DesiredHardware at %.0f rps allocates %.1f objects/op, want 0", rate, allocs)
 		}
 	}
+	// The multi-tenant runner reuses one State for every tenant's model: the
+	// selection tables must be cached per (model, SLO), or alternating
+	// models would rebuild one on every call.
+	st, next := multiTenantState()
+	if allocs := testing.AllocsPerRun(99, func() { next(); p.DesiredHardware(st) }); allocs != 0 {
+		t.Fatalf("DesiredHardware alternating %d models on one State allocates %.1f objects/op, want 0",
+			len(multiTenantModels), allocs)
+	}
+}
+
+// multiTenantModels are the models RunMulti's one scratch State alternates
+// between in the multi-tenant tests.
+var multiTenantModels = []string{"ResNet 50", "GoogleNet", "MobileNet"}
+
+// multiTenantState returns one State plus a step that switches it to the
+// next tenant's model (rebuilt the way multiRunner.stateFor does, keeping
+// the scratch), at a rate that probes GPU candidates.
+func multiTenantState() (*State, func()) {
+	tenants := make([]State, len(multiTenantModels))
+	for i, name := range multiTenantModels {
+		tenants[i] = *mkState(name, "M60", 400, 400)
+	}
+	st := &State{}
+	i := -1
+	next := func() {
+		i = (i + 1) % len(tenants)
+		tables, cands := st.tables, st.candScratch
+		*st = tenants[i]
+		st.tables, st.candScratch = tables, cands
+	}
+	next()
+	return st, next
 }
 
 func TestSplitYAllocFree(t *testing.T) {
@@ -52,10 +84,21 @@ func TestCheapestIsolatedAllocFree(t *testing.T) {
 // BenchmarkDesiredHardware measures one full Algorithm 1 selection pass:
 // capable-pool assembly plus a serial Eq. (1) probe of every GPU candidate.
 func BenchmarkDesiredHardware(b *testing.B) {
-	st := mkState("ResNet 50", "M60", 400, 400)
 	p := NewPaldia().Policy
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.DesiredHardware(st)
-	}
+	b.Run("single", func(b *testing.B) {
+		st := mkState("ResNet 50", "M60", 400, 400)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.DesiredHardware(st)
+		}
+	})
+	// One State alternating between tenants' models, as RunMulti's does.
+	b.Run("multi-tenant", func(b *testing.B) {
+		st, next := multiTenantState()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			next()
+			p.DesiredHardware(st)
+		}
+	})
 }

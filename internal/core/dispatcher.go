@@ -12,7 +12,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/device"
 	"repro/internal/metrics"
-	"repro/internal/profile"
 	"repro/internal/telemetry"
 )
 
@@ -121,7 +120,7 @@ func (r *runner) dispatchOn(node *servingNode, limit int) {
 	}
 	st := r.stateOf(node)
 	st.Pending = n
-	bs := node.entry.PreferredBatch
+	bs := node.row.PreferredBatch
 
 	y := r.cfg.Scheme.Policy.SplitY(st, n)
 	if y < 0 {
@@ -142,7 +141,7 @@ func (r *runner) dispatchOn(node *servingNode, limit int) {
 	// it, MPS-only schemes still consolidate enough batches to interfere
 	// heavily.
 	if node.node.Spec.IsGPU() {
-		free := node.entry.MaxResidentJobs - node.node.Device.ActiveCount() - laneCap
+		free := node.row.MaxResidentJobs - node.node.Device.ActiveCount() - laneCap
 		if free < 0 {
 			free = 0
 		}
@@ -213,9 +212,9 @@ func (r *runner) dispatchJob(node *servingNode, n int, mode device.Mode) {
 	job := &js.job
 	job.Reset()
 	job.Batch = len(reqs)
-	job.Solo = profile.Solo(r.cfg.Model, node.node.Spec, len(reqs))
-	job.FBR = node.entry.FBR
-	job.Compute = profile.ComputeFraction(r.cfg.Model, node.node.Spec, len(reqs))
+	job.Solo = node.row.Solo(len(reqs))
+	job.FBR = node.row.FBR
+	job.Compute = node.row.ComputeFraction(len(reqs))
 	job.Mode = mode
 	job.Done = js.doneFn
 	if r.tel != nil {

@@ -81,12 +81,15 @@ type MultiResult struct {
 }
 
 type tenant struct {
-	idx   int // workload index, stamped into Event.Tenant
-	w     Workload
-	arr   trace.Stream // arrival source (w.Stream, or w.Trace adapted)
-	bat   batch.Batcher
-	col   *metrics.Collector
-	entry profile.Entry // for the current node
+	idx int // workload index, stamped into Event.Tenant
+	w   Workload
+	arr trace.Stream // arrival source (w.Stream, or w.Trace adapted)
+	bat batch.Batcher
+	col *metrics.Collector
+	// perSample is the workload's per-sample work on the reference device
+	// (the most performant GPU), in seconds: desiredAggregate's unit for
+	// converting rates between tenants.
+	perSample float64
 
 	// predictAt is the confidence-gated forecast (see setupPredictor).
 	predictAt func(now, horizon time.Duration) float64
@@ -103,6 +106,7 @@ type tenant struct {
 type tenantNode struct {
 	node  *cluster.Node
 	pools []*container.Pool
+	rows  []*profile.Row // per tenant: (workload model, node.Spec)
 
 	queuedOutstanding []int
 	laneHeld          []bool
@@ -170,8 +174,10 @@ func RunMulti(cfg MultiConfig) MultiResult {
 		r.eng.SetOnFire(cfg.Invariants.Tick)
 		r.clu.Check = cfg.Invariants
 	}
+	ref := hardware.MostPerformant(hardware.GPU)
 	for i, w := range cfg.Workloads {
 		t := &tenant{idx: i, w: w, col: metrics.NewCollector(cfg.SLO)}
+		t.perSample = profile.SoloSample(w.Model, ref).Seconds()
 		t.arr = w.Stream
 		if t.arr == nil {
 			t.arr = w.Trace.Stream()
@@ -293,17 +299,14 @@ func (r *multiRunner) warmStart() {
 		// Before any traffic is observed the predictors are empty; seed the
 		// per-tenant desires with the traces' opening rates, converted to
 		// work-equivalent aggregate rates as desiredAggregate does.
-		ref := hardware.MostPerformant(hardware.GPU)
 		totalWork := 0.0
 		for _, t := range r.tenants {
-			totalWork += t.arr.InitRPS(2*time.Second) *
-				profile.SoloSample(t.w.Model, ref).Seconds()
+			totalWork += t.arr.InitRPS(2*time.Second) * t.perSample
 		}
 		for _, t := range r.tenants {
-			perSample := profile.SoloSample(t.w.Model, ref).Seconds()
 			st := r.stateFor(t, r.cfg.HWLead)
-			if perSample > 0 {
-				st.PredictedRPS = totalWork / perSample
+			if t.perSample > 0 {
+				st.PredictedRPS = totalWork / t.perSample
 				st.ObservedRPS = st.PredictedRPS
 			}
 			d := r.cfg.Scheme.Policy.DesiredHardware(st)
@@ -344,12 +347,14 @@ func (r *multiRunner) wireNode(node *cluster.Node) *tenantNode {
 	tn := &tenantNode{
 		node:              node,
 		pools:             make([]*container.Pool, n),
+		rows:              make([]*profile.Row, n),
 		queuedOutstanding: make([]int, n),
 		laneHeld:          make([]bool, n),
 		laneReady:         make([]bool, n),
 		lanePending:       make([][]func(), n),
 	}
-	for i := range r.tenants {
+	for i, t := range r.tenants {
+		tn.rows[i] = profile.Resolve(t.w.Model, node.Spec)
 		tn.pools[i] = container.NewPool(r.eng, cold, r.cfg.KeepAlive)
 		if r.tel != nil {
 			tn.pools[i].Sink = r.tel
@@ -426,13 +431,13 @@ func (r *multiRunner) stateFor(t *tenant, horizon time.Duration) *State {
 		ObservedRPS:  t.observedRPS(now, r.cfg.ObserveWindow),
 		Pending:      t.bat.Pending(),
 		Window:       r.cfg.DispatchWindow,
-		poolScratch:  s.poolScratch,
+		tables:       s.tables,
 		candScratch:  s.candScratch,
 	}
 	if r.cur != nil {
 		s.Current = r.cur.node.Spec
 		s.HasCurrent = true
-		s.Entry = profile.Lookup(t.w.Model, r.cur.node.Spec)
+		s.Row = r.cur.rows[t.idx]
 		if dev := r.cur.node.Device; dev != nil && !dev.Failed() {
 			s.ActiveDemand = dev.ActiveDemand()
 			s.ActiveCompute = dev.ActiveCompute()
@@ -451,30 +456,23 @@ func (r *multiRunner) stateFor(t *tenant, horizon time.Duration) *State {
 // reference device); the policy then sizes hardware for the aggregate in its
 // own units. The final choice is the most capable of the per-tenant answers.
 func (r *multiRunner) desiredAggregate() hardware.Spec {
-	ref := hardware.MostPerformant(hardware.GPU)
 	now := r.eng.Now()
 
-	perSample := make([]float64, len(r.tenants))
 	var totalPredWork, totalObsWork float64
-	pred := make([]float64, len(r.tenants))
-	obs := make([]float64, len(r.tenants))
-	for i, t := range r.tenants {
-		perSample[i] = profile.SoloSample(t.w.Model, ref).Seconds()
+	for _, t := range r.tenants {
 		// predictAt is confidence-gated at the source (setupPredictor): a
 		// tenant below the confidence floor contributes its observed rate to
 		// the aggregate instead — see DESIGN.md §10.
-		pred[i] = t.predictAt(now, r.cfg.HWLead)
-		obs[i] = t.observedRPS(now, r.cfg.ObserveWindow)
-		totalPredWork += pred[i] * perSample[i]
-		totalObsWork += obs[i] * perSample[i]
+		totalPredWork += t.predictAt(now, r.cfg.HWLead) * t.perSample
+		totalObsWork += t.observedRPS(now, r.cfg.ObserveWindow) * t.perSample
 	}
 
 	var best hardware.Spec
-	for i, t := range r.tenants {
+	for _, t := range r.tenants {
 		st := r.stateFor(t, r.cfg.HWLead)
-		if perSample[i] > 0 {
-			st.PredictedRPS = totalPredWork / perSample[i]
-			st.ObservedRPS = totalObsWork / perSample[i]
+		if t.perSample > 0 {
+			st.PredictedRPS = totalPredWork / t.perSample
+			st.ObservedRPS = totalObsWork / t.perSample
 		}
 		d := r.cfg.Scheme.Policy.DesiredHardware(st)
 		if d.ComputeScore > best.ComputeScore ||
@@ -509,7 +507,7 @@ func (r *multiRunner) dispatchTenant(i int, t *tenant) {
 	}
 	node := r.cur
 	spec := node.node.Spec
-	entry := profile.Lookup(t.w.Model, spec)
+	row := node.rows[i]
 	st := r.stateFor(t, r.cfg.Horizon)
 	y := r.cfg.Scheme.Policy.SplitY(st, n)
 	if y < 0 {
@@ -524,11 +522,11 @@ func (r *multiRunner) dispatchTenant(i int, t *tenant) {
 		y = n
 	}
 	if spec.IsGPU() {
-		free := entry.MaxResidentJobs - node.node.Device.ActiveCount() - laneCap
+		free := row.MaxResidentJobs - node.node.Device.ActiveCount() - laneCap
 		if free < 0 {
 			free = 0
 		}
-		if max := free * entry.PreferredBatch; spatialN > max {
+		if max := free * row.PreferredBatch; spatialN > max {
 			spatialN = max
 		}
 	}
@@ -536,7 +534,7 @@ func (r *multiRunner) dispatchTenant(i int, t *tenant) {
 	if slots < 0 {
 		slots = 0
 	}
-	if max := slots * entry.PreferredBatch; y > max {
+	if max := slots * row.PreferredBatch; y > max {
 		y = max
 	}
 	if spatialN+y == 0 {
@@ -548,14 +546,14 @@ func (r *multiRunner) dispatchTenant(i int, t *tenant) {
 	// requests straight out of the batcher in the same arrival-order
 	// partition batch.Split produced.
 	node.pools[i].Ensure(node.pools[i].Busy() +
-		autoscale.ReactiveContainers(spatialN, entry.PreferredBatch))
-	r.sizesScratch = batch.SplitSizes(r.sizesScratch, spatialN, entry.PreferredBatch)
+		autoscale.ReactiveContainers(spatialN, row.PreferredBatch))
+	r.sizesScratch = batch.SplitSizes(r.sizesScratch, spatialN, row.PreferredBatch)
 	for _, size := range r.sizesScratch {
-		r.dispatchJob(i, t, entry, size, device.Spatial)
+		r.dispatchJob(i, t, row, size, device.Spatial)
 	}
-	r.sizesScratch = batch.SplitSizes(r.sizesScratch, y, entry.PreferredBatch)
+	r.sizesScratch = batch.SplitSizes(r.sizesScratch, y, row.PreferredBatch)
 	for _, size := range r.sizesScratch {
-		r.dispatchJob(i, t, entry, size, device.Queued)
+		r.dispatchJob(i, t, row, size, device.Queued)
 	}
 }
 
@@ -591,7 +589,7 @@ func (r *multiRunner) newJobState() *tenantJobState {
 	return js
 }
 
-func (r *multiRunner) dispatchJob(i int, t *tenant, entry profile.Entry,
+func (r *multiRunner) dispatchJob(i int, t *tenant, row *profile.Row,
 	n int, mode device.Mode) {
 	node := r.cur
 	now := r.eng.Now()
@@ -609,9 +607,9 @@ func (r *multiRunner) dispatchJob(i int, t *tenant, entry profile.Entry,
 	job := &js.job
 	job.Reset()
 	job.Batch = len(reqs)
-	job.Solo = profile.Solo(t.w.Model, spec, len(reqs))
-	job.FBR = entry.FBR
-	job.Compute = profile.ComputeFraction(t.w.Model, spec, len(reqs))
+	job.Solo = row.Solo(len(reqs))
+	job.FBR = row.FBR
+	job.Compute = row.ComputeFraction(len(reqs))
 	job.Mode = mode
 	job.Done = js.doneFn
 	if r.tel != nil {
@@ -744,16 +742,16 @@ func (r *multiRunner) reconfigure(desired hardware.Spec) {
 	r.clu.AcquireAsync(desired, maxRes, func(node *cluster.Node) {
 		tn := r.wireNode(node)
 		for i, t := range r.tenants {
-			entry := profile.Lookup(t.w.Model, desired)
+			row := tn.rows[i]
 			need := autoscale.PredictiveContainers(
-				t.predictAt(r.eng.Now(), r.cfg.Horizon), 2*entry.SoloBatch, entry.PreferredBatch)
-			if backlog := autoscale.ReactiveContainers(t.bat.Pending(), entry.PreferredBatch); backlog > need {
+				t.predictAt(r.eng.Now(), r.cfg.Horizon), 2*row.SoloBatch, row.PreferredBatch)
+			if backlog := autoscale.ReactiveContainers(t.bat.Pending(), row.PreferredBatch); backlog > need {
 				need = backlog
 			}
 			if need < 2 {
 				need = 2
 			}
-			if cap := entry.MaxResidentJobs + laneCap; need > cap {
+			if cap := row.MaxResidentJobs + laneCap; need > cap {
 				need = cap
 			}
 			tn.pools[i].EnsureWithin(need, swapTail)

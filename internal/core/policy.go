@@ -31,8 +31,9 @@ type State struct {
 	// before the first node is up.
 	Current    hardware.Spec
 	HasCurrent bool
-	// Entry is the profiling entry for (Model, Current).
-	Entry profile.Entry
+	// Row is the resolved profiling row for (Model, Current); set whenever
+	// HasCurrent is, nil otherwise.
+	Row *profile.Row
 	// PredictedRPS is the predictor's rate forecast over the horizon
 	// (EWMA for Paldia, clairvoyant for Oracle).
 	PredictedRPS float64
@@ -56,18 +57,60 @@ type State struct {
 	// lane (queued requests wait behind it).
 	LaneBacklog time.Duration
 
-	// poolScratch and candScratch back DesiredHardware's capable-pool and
-	// candidate lists, reused across monitor ticks so the steady-state
-	// selection pass allocates nothing. They live on the State (one per
-	// runner) rather than the Policy because schemes are shared across
-	// concurrently running experiments and must stay stateless.
-	poolScratch []hardware.Spec
+	// tables caches the selection tables built so far, one per (Model,
+	// SLO) this State has served — a multi-tenant runner reuses one State
+	// for every tenant's model, so a single slot would rebuild on every
+	// call. candScratch backs the per-tick candidate list. Both live on the
+	// State (one per runner) rather than the Policy because schemes are
+	// shared across concurrently running experiments and must stay
+	// stateless; with them the steady-state selection pass allocates
+	// nothing.
+	tables      []*selTable
 	candScratch []hwCand
+}
+
+// selTable is the rate-independent half of Algorithm 1's get_HW_pool for
+// one (model, SLO): the cost-ascending catalog walk filtered to the nodes
+// whose preferred batch fits the SLO (profile.Row.FitsSLO), as resolved
+// rows, plus the fallback GPU's row. Only the CanSustain arithmetic and the
+// T_max probes depend on the rate, so that is all the per-tick pass runs.
+type selTable struct {
+	model    model.Spec
+	slo      time.Duration
+	rows     []*profile.Row // cost-ascending
+	fallback *profile.Row   // the most performant GPU, if no row sustains the rate
+}
+
+func newSelTable(m model.Spec, slo time.Duration) *selTable {
+	t := &selTable{
+		model:    m,
+		slo:      slo,
+		fallback: profile.Resolve(m, hardware.MostPerformant(hardware.GPU)),
+	}
+	for _, hw := range hardware.CostSorted() {
+		if row := profile.Resolve(m, hw); row.FitsSLO(slo) {
+			t.rows = append(t.rows, row)
+		}
+	}
+	return t
+}
+
+// selection returns the State's table for its (Model, SLO), building it on
+// first use.
+func (s *State) selection() *selTable {
+	for _, t := range s.tables {
+		if t.slo == s.SLO && t.model == s.Model {
+			return t
+		}
+	}
+	t := newSelTable(s.Model, s.SLO)
+	s.tables = append(s.tables, t)
+	return t
 }
 
 // hwCand pairs a probed node type with its predicted T_max.
 type hwCand struct {
-	hw   hardware.Spec
+	row  *profile.Row
 	tmax time.Duration
 }
 
@@ -129,75 +172,27 @@ func paldiaHardwareReactive(s *State) hardware.Spec {
 }
 
 func paldiaHardwareAtRate(s *State, rate float64) hardware.Spec {
-	// get_HW_pool, sorted by cost; appended into runner-owned scratch so the
-	// per-tick pass is allocation-free once the buffers have grown.
-	s.poolScratch = profile.AppendCapablePool(s.poolScratch[:0], s.Model, rate, s.SLO)
-	pool := s.poolScratch
+	// get_HW_pool, sorted by cost: the rate-independent filter comes from
+	// the (model, SLO) table; only CanSustain runs per tick. Candidates go
+	// into runner-owned scratch, so the pass is allocation-free once the
+	// buffers have grown.
+	tab := s.selection()
+	wait := profile.CapabilityMaxWait(s.SLO)
 	n := paldiaPlanN(rate, s.SLO, s.Pending)
-
 	cands := s.candScratch[:0]
-	in := perfmodel.Inputs{N: n, SLO: s.SLO} // one Inputs reused across the pass
-	for _, hw := range pool {
-		e := profile.Lookup(s.Model, hw)
-		if !hw.IsGPU() {
-			// Algorithm 1 stops probing y values for CPU candidates (there
-			// is no spatial sharing to tune); every capable CPU shape is
-			// still costed, since a bigger CPU node with queueing headroom
-			// can beat a marginal cheap one.
-			backlog := time.Duration(0)
-			if s.HasCurrent && s.Current.Name == hw.Name {
-				backlog = s.Backlog
-			}
-			// A CPU node serves each dispatch window's worth of requests
-			// serially; unlike the GPU case, arrivals beyond one window
-			// never execute together, so T_max is approximated on a
-			// window's load (sustainability is already enforced by
-			// CapablePool).
-			win := s.Window
-			if win <= 0 {
-				win = DefaultDispatchWindow
-			}
-			nWin := int(rate * win.Seconds())
-			if s.Pending > nWin {
-				nWin = s.Pending
-			}
-			b := profile.EffectiveBatch(s.Model, hw, rate, s.SLO/4)
-			solo := profile.Solo(s.Model, hw, b)
-			tmax := perfmodel.ApproxCPUTMax(solo, b, nWin, backlog)
-			// Serial CPU service queues at utilization: T_max is a
-			// worst-case estimate, so charge a tail-flavoured M/D/1 wait.
-			// This keeps the selection off marginal CPUs — the paper's CPU
-			// nodes serve only comfortably low rates (up to ~25 rps for
-			// high-FBR models).
-			rho := queueing.Utilization(rate/float64(b), solo)
-			if wait := queueing.TailWait(rho, solo); wait >= queueing.Unstable {
-				tmax += s.SLO // saturated: disqualify via a large penalty
-			} else {
-				tmax += wait
-			}
-			cands = append(cands, hwCand{hw, tmax})
+	for _, row := range tab.rows {
+		b, solo, ok := row.SustainedBatch(rate, wait)
+		if !ok {
 			continue
 		}
-		in.Solo = e.SoloBatch
-		in.BatchSize = e.PreferredBatch
-		in.FBR = e.FBR
-		in.ComputeFrac = e.ComputeFrac
-		in.PenaltyByJobs = e.PenaltyByJobs
-		in.ExistingDemand, in.ExistingCompute = 0, 0
-		in.ExistingJobs, in.ExistingLane = 0, 0
-		if s.HasCurrent && s.Current.Name == hw.Name {
-			in.ExistingDemand = s.ActiveDemand
-			in.ExistingCompute = s.ActiveCompute
-			in.ExistingJobs = s.ActiveJobs
-			in.ExistingLane = s.LaneBacklog
-		}
-		_, tmax, _ := perfmodel.BestY(in) // serial Eq. (1) y probing per GPU
-		cands = append(cands, hwCand{hw, tmax})
+		cands = append(cands, hwCand{row, candidateTMax(s, row, rate, n, b, solo)})
+	}
+	if len(cands) == 0 {
+		// Nothing sustains the rate: the pool is the fallback GPU alone.
+		b, solo, _ := tab.fallback.SustainedBatch(rate, wait)
+		cands = append(cands, hwCand{tab.fallback, candidateTMax(s, tab.fallback, rate, n, b, solo)})
 	}
 	s.candScratch = cands
-	if len(cands) == 0 {
-		return hardware.MostPerformant(hardware.GPU)
-	}
 	// choose_best_HW: cheapest within the slack window of the most
 	// performant candidate.
 	best := cands[0].tmax
@@ -208,10 +203,68 @@ func paldiaHardwareAtRate(s *State, rate float64) hardware.Spec {
 	}
 	for _, c := range cands { // pool is cost-ascending
 		if c.tmax <= best+chooseBestHWWindow {
-			return c.hw
+			return c.row.Hardware
 		}
 	}
-	return cands[len(cands)-1].hw
+	return cands[len(cands)-1].row.Hardware
+}
+
+// candidateTMax predicts T_max for one capable candidate when n requests
+// must coexist within the SLO. b and solo are the effective batch size at the
+// rate and its solo latency (from CanSustain).
+func candidateTMax(s *State, row *profile.Row, rate float64, n, b int, solo time.Duration) time.Duration {
+	current := s.HasCurrent && s.Current.Name == row.Hardware.Name
+	if !row.Hardware.IsGPU() {
+		// Algorithm 1 stops probing y values for CPU candidates (there is no
+		// spatial sharing to tune); every capable CPU shape is still costed,
+		// since a bigger CPU node with queueing headroom can beat a marginal
+		// cheap one.
+		backlog := time.Duration(0)
+		if current {
+			backlog = s.Backlog
+		}
+		// A CPU node serves each dispatch window's worth of requests
+		// serially; unlike the GPU case, arrivals beyond one window never
+		// execute together, so T_max is approximated on a window's load
+		// (sustainability is already enforced by get_HW_pool).
+		win := s.Window
+		if win <= 0 {
+			win = DefaultDispatchWindow
+		}
+		nWin := int(rate * win.Seconds())
+		if s.Pending > nWin {
+			nWin = s.Pending
+		}
+		tmax := perfmodel.ApproxCPUTMax(solo, b, nWin, backlog)
+		// Serial CPU service queues at utilization: T_max is a worst-case
+		// estimate, so charge a tail-flavoured M/D/1 wait. This keeps the
+		// selection off marginal CPUs — the paper's CPU nodes serve only
+		// comfortably low rates (up to ~25 rps for high-FBR models).
+		rho := queueing.Utilization(rate/float64(b), solo)
+		if wait := queueing.TailWait(rho, solo); wait >= queueing.Unstable {
+			tmax += s.SLO // saturated: disqualify via a large penalty
+		} else {
+			tmax += wait
+		}
+		return tmax
+	}
+	in := perfmodel.Inputs{
+		Solo:          row.SoloBatch,
+		BatchSize:     row.PreferredBatch,
+		FBR:           row.FBR,
+		ComputeFrac:   row.ComputeFrac,
+		PenaltyByJobs: row.PenaltyByJobs,
+		N:             n,
+		SLO:           s.SLO,
+	}
+	if current {
+		in.ExistingDemand = s.ActiveDemand
+		in.ExistingCompute = s.ActiveCompute
+		in.ExistingJobs = s.ActiveJobs
+		in.ExistingLane = s.LaneBacklog
+	}
+	_, tmax, _ := perfmodel.BestY(in) // serial Eq. (1) y probing per GPU
+	return tmax
 }
 
 // cheapestIsolated is the $-variants' selection: the cheapest hardware that
@@ -222,17 +275,14 @@ func paldiaHardwareAtRate(s *State, rate float64) hardware.Spec {
 // its documented failure modes.
 func cheapestIsolated(s *State) hardware.Spec {
 	rate := s.ObservedRPS
-	for _, hw := range hardware.CostSorted() {
-		e := profile.Lookup(s.Model, hw)
-		if e.SoloBatch > s.SLO*3/4 {
+	tab := s.selection()
+	for _, row := range tab.rows {
+		if rate > profile.Headroom*row.ThroughputRPS {
 			continue
 		}
-		if rate > profile.Headroom*e.ThroughputRPS {
-			continue
-		}
-		return hw
+		return row.Hardware
 	}
-	return hardware.MostPerformant(hardware.GPU)
+	return tab.fallback.Hardware
 }
 
 // fixedHW always returns the given node type (the (P) variants' V100, and
@@ -248,18 +298,19 @@ func paldiaSplit(s *State, n int) int {
 	if n <= 0 || !s.Current.IsGPU() {
 		return 0
 	}
+	row := s.Row
 	in := perfmodel.Inputs{
-		Solo:            s.Entry.SoloBatch,
-		BatchSize:       s.Entry.PreferredBatch,
-		FBR:             s.Entry.FBR,
-		ComputeFrac:     s.Entry.ComputeFrac,
+		Solo:            row.SoloBatch,
+		BatchSize:       row.PreferredBatch,
+		FBR:             row.FBR,
+		ComputeFrac:     row.ComputeFrac,
 		N:               n,
 		SLO:             s.SLO,
 		ExistingDemand:  s.ActiveDemand,
 		ExistingCompute: s.ActiveCompute,
 		ExistingJobs:    s.ActiveJobs,
 		ExistingLane:    s.LaneBacklog,
-		PenaltyByJobs:   s.Entry.PenaltyByJobs,
+		PenaltyByJobs:   row.PenaltyByJobs,
 	}
 	y, _, _ := perfmodel.BestY(in)
 	return y

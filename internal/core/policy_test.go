@@ -19,7 +19,7 @@ func mkState(modelName string, hwName string, predicted, observed float64) *Stat
 		SLO:          DefaultSLO,
 		Current:      hw,
 		HasCurrent:   true,
-		Entry:        profile.Lookup(m, hw),
+		Row:          profile.Resolve(m, hw),
 		PredictedRPS: predicted,
 		ObservedRPS:  observed,
 	}

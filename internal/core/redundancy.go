@@ -161,7 +161,7 @@ func (d *redundancy) dispatch() {
 		return
 	}
 	primary := healthy[0].sn
-	bs := primary.entry.PreferredBatch
+	bs := primary.row.PreferredBatch
 	used := healthy[:1]
 	if !d.hedge {
 		if k := d.k; k < len(healthy) {
@@ -178,7 +178,7 @@ func (d *redundancy) dispatch() {
 	// mid-queue revocation kill.
 	for _, p := range used {
 		if p.capSN != p.sn {
-			p.resCap = residentCap(r.cfg.Model, p.sn, r.cfg.SLO)
+			p.resCap = residentCap(p.sn.row, r.cfg.SLO)
 			p.capSN = p.sn
 		}
 		free := p.resCap - p.sn.pool.Busy() - p.sn.pool.Waiting()
@@ -228,13 +228,13 @@ func (d *redundancy) dispatch() {
 // slowdown, compute occupancy, MPS client overhead — still finishes a
 // preferred batch inside the SLO. Without it a drained backlog piles onto
 // the device all at once and every job slows every other past the deadline.
-func residentCap(m model.Spec, sn *servingNode, slo time.Duration) int {
-	bs := sn.entry.PreferredBatch
-	solo := profile.Solo(m, sn.node.Spec, bs)
-	fbr := sn.entry.FBR
-	comp := profile.ComputeFraction(m, sn.node.Spec, bs)
+func residentCap(row *profile.Row, slo time.Duration) int {
+	bs := row.PreferredBatch
+	solo := row.Solo(bs)
+	fbr := row.FBR
+	comp := row.ComputeFraction(bs)
 	best := 1
-	for c := 2; c <= sn.entry.MaxResidentJobs; c++ {
+	for c := 2; c <= row.MaxResidentJobs; c++ {
 		slow := profile.Slowdown(float64(c)*fbr, fbr)
 		if agg := float64(c) * comp; agg > 1 && agg > slow {
 			slow = agg
@@ -275,7 +275,7 @@ func (d *redundancy) maintain() {
 		if p.sn != nil {
 			n := p.sn.node
 			if n.Device != nil && !n.Device.Failed() && !n.Revoked() {
-				if !upgraded && obs > profile.Headroom*profile.ThroughputRPS(r.cfg.Model, p.spec) &&
+				if !upgraded && obs > profile.Headroom*p.sn.row.ThroughputRPS &&
 					d.othersHealthy(p) {
 					if up, ok := upgradeSpec(r.cfg.Model, obs, p.spec); ok {
 						upgraded = true
@@ -476,9 +476,9 @@ func (s *cloneSet) launch(idx int, sn *servingNode, kind string) {
 	job := &c.job
 	job.Reset()
 	job.Batch = len(s.reqs)
-	job.Solo = profile.Solo(r.cfg.Model, sn.node.Spec, len(s.reqs))
-	job.FBR = sn.entry.FBR
-	job.Compute = profile.ComputeFraction(r.cfg.Model, sn.node.Spec, len(s.reqs))
+	job.Solo = sn.row.Solo(len(s.reqs))
+	job.FBR = sn.row.FBR
+	job.Compute = sn.row.ComputeFraction(len(s.reqs))
 	job.Mode = device.Spatial // copies follow the pure-PS cloning model
 	job.Done = c.doneFn
 	if r.tel != nil {

@@ -272,10 +272,10 @@ type SwitchEvent struct {
 
 // servingNode is a procured node actively (or about to be) serving.
 type servingNode struct {
-	node  *cluster.Node
-	pool  *container.Pool
-	entry profile.Entry
-	ctl   *autoscale.Controller
+	node *cluster.Node
+	pool *container.Pool
+	row  *profile.Row // (Config.Model, node.Spec), resolved once in wireNode
+	ctl  *autoscale.Controller
 
 	queuedOutstanding int
 	laneHeld          bool     // a lane-container claim exists
@@ -600,9 +600,9 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 		cold = 0
 	}
 	sn := &servingNode{
-		node:  node,
-		pool:  container.NewPool(r.eng, cold, r.cfg.KeepAlive),
-		entry: profile.Lookup(r.cfg.Model, node.Spec),
+		node: node,
+		pool: container.NewPool(r.eng, cold, r.cfg.KeepAlive),
+		row:  profile.Resolve(r.cfg.Model, node.Spec),
 	}
 	if r.tel != nil {
 		sn.pool.Sink = r.tel
@@ -622,8 +622,8 @@ func (r *runner) wireNode(node *cluster.Node) *servingNode {
 	// pluggable Forecaster seam.
 	sn.ctl = autoscale.NewController(r.eng, sn.pool,
 		func(now, horizon time.Duration) float64 { return r.predictAt(now, horizon) },
-		func() int { return sn.entry.PreferredBatch },
-		residenceOf(sn.entry))
+		func() int { return sn.row.PreferredBatch },
+		residenceOf(sn.row))
 	sn.ctl.Horizon = r.cfg.Horizon
 	if r.tel != nil {
 		sn.ctl.Sink = r.tel
@@ -707,13 +707,13 @@ func (r *runner) gauges() []telemetry.Gauge {
 
 // residenceOf estimates how long one batch holds a container: the solo
 // execution latency with a 2x margin for interference.
-func residenceOf(e profile.Entry) time.Duration { return 2 * e.SoloBatch }
+func residenceOf(row *profile.Row) time.Duration { return 2 * row.SoloBatch }
 
 // containerTarget is the predictive container requirement for a node at the
 // current forecast.
 func (r *runner) containerTarget(sn *servingNode) int {
-	n := autoscale.PredictiveContainers(r.predictRPS(r.eng.Now()), residenceOf(sn.entry),
-		sn.entry.PreferredBatch)
+	n := autoscale.PredictiveContainers(r.predictRPS(r.eng.Now()), residenceOf(sn.row),
+		sn.row.PreferredBatch)
 	if n < 2 {
 		n = 2
 	}
@@ -795,7 +795,7 @@ func (r *runner) stateOf(sn *servingNode) *State {
 		return s
 	}
 	s.Current = sn.node.Spec
-	s.Entry = sn.entry
+	s.Row = sn.row
 	s.ActiveDemand, s.ActiveCompute, s.ActiveJobs = 0, 0, 0
 	s.Backlog, s.LaneBacklog = 0, 0
 	if dev := sn.node.Device; dev != nil && !dev.Failed() {
@@ -818,13 +818,13 @@ func (r *runner) stateWithRates(predicted, observed float64) *State {
 		ObservedRPS:  observed,
 		Pending:      r.bat.Pending(),
 		Window:       r.cfg.DispatchWindow,
-		poolScratch:  s.poolScratch,
+		tables:       s.tables,
 		candScratch:  s.candScratch,
 	}
 	if r.cur != nil {
 		s.Current = r.cur.node.Spec
 		s.HasCurrent = true
-		s.Entry = r.cur.entry
+		s.Row = r.cur.row
 		if dev := r.cur.node.Device; dev != nil && !dev.Failed() {
 			s.ActiveDemand = dev.ActiveDemand()
 			s.ActiveCompute = dev.ActiveCompute()

@@ -92,12 +92,12 @@ func (r *runner) reconfigure(desired hardware.Spec) {
 		// awaiting reroute, so the swap does not stall on synchronous cold
 		// starts.
 		need := r.containerTarget(sn)
-		if backlog := autoscale.ReactiveContainers(r.bat.Pending(), sn.entry.PreferredBatch); backlog > need {
+		if backlog := autoscale.ReactiveContainers(r.bat.Pending(), sn.row.PreferredBatch); backlog > need {
 			need = backlog
 		}
 		// In-flight jobs are bounded by device memory plus the lane, so the
 		// pool never needs more than that.
-		if cap := sn.entry.MaxResidentJobs + laneCap; need > cap {
+		if cap := sn.row.MaxResidentJobs + laneCap; need > cap {
 			need = cap
 		}
 		sn.pool.EnsureWithin(need, swapTail)
@@ -114,7 +114,7 @@ func (r *runner) manageScaleOut(rate float64) {
 	if r.cfg.MaxNodes <= 1 || r.cur == nil {
 		return
 	}
-	sustainable := profile.Headroom * profile.ThroughputRPS(r.cfg.Model, r.cur.node.Spec)
+	sustainable := profile.Headroom * r.cur.row.ThroughputRPS
 	want := 1
 	if sustainable > 0 && rate > sustainable {
 		want = int(rate/sustainable) + 1

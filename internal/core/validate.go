@@ -16,7 +16,7 @@ import (
 // or scheme, negative time constants, non-finite host factors, and failure
 // injection with no outage duration. Run does not call Validate — a
 // malformed config panics as it always has — but config-constructing code
-// (and the fuzzer) can reject bad inputs up front with a named reason.
+// (paldia-sim, the fuzzer) rejects bad inputs up front with a named reason.
 func (c Config) Validate() error {
 	var errs []error
 	if c.Model.Name == "" {

@@ -67,10 +67,7 @@ func EffectiveGFLOPs(m model.Spec, hw hardware.Spec) float64 {
 // SoloSample returns the profiled per-sample execution time of the workload
 // on the node, in isolation (excluding the fixed per-batch overhead).
 func SoloSample(m model.Spec, hw hardware.Spec) time.Duration {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].SoloSample
-	}
-	return computeSoloSample(m, hw)
+	return Resolve(m, hw).SoloSample
 }
 
 func computeSoloSample(m model.Spec, hw hardware.Spec) time.Duration {
@@ -79,17 +76,11 @@ func computeSoloSample(m model.Spec, hw hardware.Spec) time.Duration {
 }
 
 // Solo returns the profiled execution latency of one batch of the given size
-// run in isolation on the node — the paper's Solo_M. For catalog pairs at
-// in-range batch sizes this is a table read: the dispatcher prices every job
-// it opens with Solo, so the call sits on the per-dispatch hot path.
+// run in isolation on the node — the paper's Solo_M. It is the Spec-keyed
+// form of Row.Solo for cold callers; hot paths resolve the pair once and
+// read through the Row.
 func Solo(m model.Spec, hw hardware.Spec, batch int) time.Duration {
-	if batch < 1 {
-		batch = 1
-	}
-	if i, ok := pairIndex(m, hw); ok && batch <= len(soloMemo[i]) {
-		return soloMemo[i][batch-1]
-	}
-	return computeSolo(m, hw, batch)
+	return Resolve(m, hw).Solo(batch)
 }
 
 func computeSolo(m model.Spec, hw hardware.Spec, batch int) time.Duration {
@@ -110,10 +101,7 @@ func computeSolo(m model.Spec, hw hardware.Spec, batch int) time.Duration {
 // models on the cheaper GPUs). CPU nodes return 0 — the paper's interference
 // model only covers MPS co-location on GPUs.
 func FBR(m model.Spec, hw hardware.Spec) float64 {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].FBR
-	}
-	return computeFBR(m, hw)
+	return Resolve(m, hw).FBR
 }
 
 func computeFBR(m model.Spec, hw hardware.Spec) float64 {
@@ -147,16 +135,10 @@ func SaturationBatch(m model.Spec, hw hardware.Spec) int {
 }
 
 // ComputeFraction returns the fraction of the device's compute units a batch
-// job occupies while executing, in (0, 1]. Batch-indexed memo for catalog
-// pairs, like Solo.
+// job occupies while executing, in (0, 1]. Spec-keyed form of
+// Row.ComputeFraction, like Solo.
 func ComputeFraction(m model.Spec, hw hardware.Spec, batch int) float64 {
-	if batch < 1 {
-		batch = 1
-	}
-	if i, ok := pairIndex(m, hw); ok && batch <= len(computeMemo[i]) {
-		return computeMemo[i][batch-1]
-	}
-	return computeComputeFraction(m, hw, batch)
+	return Resolve(m, hw).ComputeFraction(batch)
 }
 
 func computeComputeFraction(m model.Spec, hw hardware.Spec, batch int) float64 {
@@ -209,10 +191,7 @@ func ClientOverhead(k int) float64 {
 // if a single sample misses the target (the device is then simply a bad
 // candidate; hardware selection will notice via T_max).
 func PreferredBatch(m model.Spec, hw hardware.Spec) int {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].PreferredBatch
-	}
-	return computePreferredBatch(m, hw)
+	return Resolve(m, hw).PreferredBatch
 }
 
 func computePreferredBatch(m model.Spec, hw hardware.Spec) int {
@@ -228,10 +207,7 @@ func computePreferredBatch(m model.Spec, hw hardware.Spec) int {
 // ThroughputRPS returns the sustained request throughput of the node for the
 // workload: back-to-back batches at the preferred size, in isolation.
 func ThroughputRPS(m model.Spec, hw hardware.Spec) float64 {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].ThroughputRPS
-	}
-	return computeThroughputRPS(m, hw)
+	return Resolve(m, hw).ThroughputRPS
 }
 
 func computeThroughputRPS(m model.Spec, hw hardware.Spec) float64 {
@@ -251,10 +227,7 @@ const MPSMaxClients = 48
 // the node at once — the hard cap on spatial co-location: device memory,
 // further clamped by the MPS client limit on GPUs.
 func MaxResidentJobs(m model.Spec, hw hardware.Spec) int {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].MaxResidentJobs
-	}
-	return computeMaxResidentJobs(m, hw)
+	return Resolve(m, hw).MaxResidentJobs
 }
 
 func computeMaxResidentJobs(m model.Spec, hw hardware.Spec) int {
@@ -294,14 +267,99 @@ type Entry struct {
 	PenaltyByJobs []float64
 }
 
-// Lookup assembles the profiling entry for a pair. Catalog pairs resolve to
-// a precomputed row (an array read); unknown or doctored specs are profiled
-// on the fly exactly as before.
+// Lookup returns a copy of the profiling entry for a pair — the Spec-keyed
+// form of Resolve for cold callers (CLIs, experiments, tests).
 func Lookup(m model.Spec, hw hardware.Spec) Entry {
+	return Resolve(m, hw).Entry
+}
+
+// Row is a resolved (model, hardware) pair: its profiling Entry plus the
+// batch-indexed Solo and ComputeFraction memos (batch sizes 1..MaxBatch).
+// Hot paths resolve a pair once — a serving node at wiring time, a selection
+// candidate when its table is built — and read through the handle instead of
+// re-keying by Spec value on every call. Rows are read-only; catalog rows
+// are shared by every caller.
+type Row struct {
+	Entry
+	solo []time.Duration
+	comp []float64
+}
+
+// Resolve returns the row for a pair. A catalog pair resolves to its
+// precomputed row (shared; never copied); an unknown or doctored spec is
+// profiled on the fly into a fresh row of its own.
+func Resolve(m model.Spec, hw hardware.Spec) *Row {
 	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i]
+		return &tableRows[i]
 	}
-	return computeEntry(m, hw)
+	return newRow(m, hw)
+}
+
+// newRow runs the profiling formulas for one pair.
+func newRow(m model.Spec, hw hardware.Spec) *Row {
+	r := &Row{
+		Entry: computeEntry(m, hw),
+		solo:  make([]time.Duration, max(m.MaxBatch, 0)),
+		comp:  make([]float64, max(m.MaxBatch, 0)),
+	}
+	for i := range r.solo {
+		r.solo[i] = computeSolo(m, hw, i+1)
+		r.comp[i] = computeComputeFraction(m, hw, i+1)
+	}
+	return r
+}
+
+// Solo is the pair's Solo_M at the given batch size: a memo read for batch
+// sizes up to MaxBatch, the profiling formula beyond it.
+func (r *Row) Solo(batch int) time.Duration {
+	if batch < 1 {
+		batch = 1
+	}
+	if batch <= len(r.solo) {
+		return r.solo[batch-1]
+	}
+	return computeSolo(r.Model, r.Hardware, batch)
+}
+
+// ComputeFraction is the pair's compute occupancy at the given batch size,
+// memoized like Solo.
+func (r *Row) ComputeFraction(batch int) float64 {
+	if batch < 1 {
+		batch = 1
+	}
+	if batch <= len(r.comp) {
+		return r.comp[batch-1]
+	}
+	return computeComputeFraction(r.Model, r.Hardware, batch)
+}
+
+// FitsSLO is get_HW_pool's rate-independent filter: one preferred-size
+// batch executes within three quarters of the SLO in isolation, leaving the
+// rest for batching delay.
+func (r *Row) FitsSLO(slo time.Duration) bool { return r.SoloBatch <= slo*3/4 }
+
+func (r *Row) effectiveBatch(rateRPS float64, maxWait time.Duration) int {
+	b := int(rateRPS * maxWait.Seconds())
+	if b > r.PreferredBatch {
+		b = r.PreferredBatch
+	}
+	if b < 1 {
+		b = 1
+	}
+	return b
+}
+
+// SustainedBatch evaluates CanSustain on the resolved pair and also returns
+// the effective batch size and its solo latency, which the selection pass
+// reuses to cost CPU candidates.
+func (r *Row) SustainedBatch(rateRPS float64, maxWait time.Duration) (batch int, solo time.Duration, ok bool) {
+	batch = r.effectiveBatch(rateRPS, maxWait)
+	solo = r.Solo(batch)
+	if rateRPS <= 0 {
+		return batch, solo, true
+	}
+	util := rateRPS * solo.Seconds() / float64(batch)
+	return batch, solo, util <= Headroom
 }
 
 func computeEntry(m model.Spec, hw hardware.Spec) Entry {
@@ -326,37 +384,24 @@ func computeEntry(m model.Spec, hw hardware.Spec) Entry {
 }
 
 // The profiling campaign, run once at init: every catalog model profiled on
-// every catalog node, plus batch-indexed Solo and ComputeFraction memos
-// (batch sizes 1..MaxBatch). pairIndex verifies specs against the catalog
-// snapshot by full struct equality, so the tables can never serve a stale
-// row for a modified Spec.
+// every catalog node into one Row per pair. pairIndex verifies specs against
+// the catalog snapshot by full struct equality, so a modified Spec can never
+// be served a stale row.
 var (
-	tableModels  []model.Spec
-	tableHW      []hardware.Spec
-	modelIndex   map[string]int
-	hwIndex      map[string]int
-	tableEntries []Entry
-	soloMemo     [][]time.Duration
-	computeMemo  [][]float64
-	fallbackGPU  hardware.Spec
+	tableModels []model.Spec
+	tableHW     []hardware.Spec
+	modelIndex  map[string]int
+	hwIndex     map[string]int
+	tableRows   []Row
+	fallbackGPU hardware.Spec
 )
 
 func init() {
 	ms, hws := model.Catalog(), hardware.Catalog()
-	entries := make([]Entry, 0, len(ms)*len(hws))
-	solos := make([][]time.Duration, 0, len(ms)*len(hws))
-	comps := make([][]float64, 0, len(ms)*len(hws))
+	rows := make([]Row, 0, len(ms)*len(hws))
 	for _, m := range ms {
 		for _, hw := range hws {
-			entries = append(entries, computeEntry(m, hw))
-			s := make([]time.Duration, m.MaxBatch)
-			c := make([]float64, m.MaxBatch)
-			for b := 1; b <= m.MaxBatch; b++ {
-				s[b-1] = computeSolo(m, hw, b)
-				c[b-1] = computeComputeFraction(m, hw, b)
-			}
-			solos = append(solos, s)
-			comps = append(comps, c)
+			rows = append(rows, *newRow(m, hw))
 		}
 	}
 	mi := make(map[string]int, len(ms))
@@ -367,8 +412,7 @@ func init() {
 	for i, hw := range hws {
 		hi[hw.Name] = i
 	}
-	tableModels, tableHW, tableEntries = ms, hws, entries
-	soloMemo, computeMemo = solos, comps
+	tableModels, tableHW, tableRows = ms, hws, rows
 	modelIndex, hwIndex = mi, hi
 	fallbackGPU = hardware.MostPerformant(hardware.GPU)
 }
@@ -410,14 +454,7 @@ const Headroom = 0.85
 // min(PreferredBatch, rate*maxWait), at least 1. Under low rates batches run
 // partially filled — the paper's flexible batch sizes.
 func EffectiveBatch(m model.Spec, hw hardware.Spec, rateRPS float64, maxWait time.Duration) int {
-	b := int(rateRPS * maxWait.Seconds())
-	if pref := PreferredBatch(m, hw); b > pref {
-		b = pref
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return Resolve(m, hw).effectiveBatch(rateRPS, maxWait)
 }
 
 // CanSustain reports whether the node keeps up with the arrival rate when
@@ -425,17 +462,13 @@ func EffectiveBatch(m model.Spec, hw hardware.Spec, rateRPS float64, maxWait tim
 // (including launch overhead, which dominates for small batches) must fit in
 // the batch's arrival budget with headroom.
 func CanSustain(m model.Spec, hw hardware.Spec, rateRPS float64, maxWait time.Duration) bool {
-	if rateRPS <= 0 {
-		return true
-	}
-	b := EffectiveBatch(m, hw, rateRPS, maxWait)
-	util := rateRPS * Solo(m, hw, b).Seconds() / float64(b)
-	return util <= Headroom
+	_, _, ok := Resolve(m, hw).SustainedBatch(rateRPS, maxWait)
+	return ok
 }
 
-// capabilityMaxWait is the batching-delay budget used by the capability
+// CapabilityMaxWait is the batching-delay budget used by the capability
 // probes: a quarter of the SLO, leaving the rest for execution.
-func capabilityMaxWait(slo time.Duration) time.Duration { return slo / 4 }
+func CapabilityMaxWait(slo time.Duration) time.Duration { return slo / 4 }
 
 // CapablePool returns the hardware candidates able to serve the workload at
 // the given sustained request rate within the SLO — the pool the Hardware
@@ -459,10 +492,11 @@ func CapablePool(m model.Spec, rateRPS float64, slo time.Duration) []hardware.Sp
 func AppendCapablePool(dst []hardware.Spec, m model.Spec, rateRPS float64, slo time.Duration) []hardware.Spec {
 	base := len(dst)
 	for _, hw := range hardware.CostSorted() {
-		if SoloAtPreferred(m, hw) > slo*3/4 {
+		r := Resolve(m, hw)
+		if !r.FitsSLO(slo) {
 			continue
 		}
-		if !CanSustain(m, hw, rateRPS, capabilityMaxWait(slo)) {
+		if _, _, ok := r.SustainedBatch(rateRPS, CapabilityMaxWait(slo)); !ok {
 			continue
 		}
 		dst = append(dst, hw)
@@ -474,10 +508,7 @@ func AppendCapablePool(dst []hardware.Spec, m model.Spec, rateRPS float64, slo t
 }
 
 // SoloAtPreferred returns Solo at the preferred batch size (Entry.SoloBatch)
-// without assembling a full Entry.
+// without copying out a full Entry.
 func SoloAtPreferred(m model.Spec, hw hardware.Spec) time.Duration {
-	if i, ok := pairIndex(m, hw); ok {
-		return tableEntries[i].SoloBatch
-	}
-	return computeSolo(m, hw, computePreferredBatch(m, hw))
+	return Resolve(m, hw).SoloBatch
 }

@@ -6,6 +6,7 @@ package profile
 // fallback) alike.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -62,6 +63,70 @@ func TestTableMatchesCompute(t *testing.T) {
 					t.Errorf("ComputeFraction(%s, %s, %d) = %v, want %v", m.Name, hw.Name, b, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestRowMatchesCompute checks every catalog pair's row handle against the
+// pure profiling formulas at every batch size the memos cover and past them
+// (the compute fallback), and that Resolve hands out the shared catalog row.
+func TestRowMatchesCompute(t *testing.T) {
+	for _, m := range model.Catalog() {
+		for _, hw := range hardware.Catalog() {
+			row := Resolve(m, hw)
+			if row != Resolve(m, hw) {
+				t.Fatalf("Resolve(%s, %s) returned a fresh row for a catalog pair", m.Name, hw.Name)
+			}
+			if !reflect.DeepEqual(row.Entry, computeEntry(m, hw)) {
+				t.Errorf("Resolve(%s, %s).Entry = %+v, want computed %+v", m.Name, hw.Name, row.Entry, computeEntry(m, hw))
+			}
+			checkRowBatches(t, row, m, hw)
+		}
+	}
+}
+
+// TestDoctoredRowMatchesCompute checks the same for doctored specs: their
+// rows are profiled afresh, never the catalog row of the same name.
+func TestDoctoredRowMatchesCompute(t *testing.T) {
+	m := model.MustByName("ResNet 50")
+	hw, _ := hardware.ByName("M60")
+	fastHW := hw
+	fastHW.ComputeScore *= 2
+	heavyM := m
+	heavyM.GFLOPsPerSample *= 2
+	heavyM.MaxBatch = 48 // not a power of two: the memo ends mid-range
+	for _, pair := range []struct {
+		m  model.Spec
+		hw hardware.Spec
+	}{{m, fastHW}, {heavyM, hw}, {heavyM, fastHW}} {
+		row := Resolve(pair.m, pair.hw)
+		if row == Resolve(m, hw) {
+			t.Fatalf("doctored pair (%s, %s) resolved to the catalog row", pair.m.Name, pair.hw.Name)
+		}
+		if !reflect.DeepEqual(row.Entry, computeEntry(pair.m, pair.hw)) {
+			t.Errorf("doctored row Entry = %+v, want computed %+v", row.Entry, computeEntry(pair.m, pair.hw))
+		}
+		checkRowBatches(t, row, pair.m, pair.hw)
+	}
+}
+
+// checkRowBatches asserts the row's Solo and ComputeFraction equal the
+// profiling formulas bit for bit for batch sizes 0..MaxBatch+2, and that the
+// Spec-keyed forms agree with the row.
+func checkRowBatches(t *testing.T, row *Row, m model.Spec, hw hardware.Spec) {
+	t.Helper()
+	for b := 0; b <= m.MaxBatch+2; b++ {
+		if got, want := row.Solo(b), computeSolo(m, hw, b); got != want {
+			t.Errorf("Row(%s, %s).Solo(%d) = %v, want %v", m.Name, hw.Name, b, got, want)
+		}
+		if got, want := row.ComputeFraction(b), computeComputeFraction(m, hw, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Row(%s, %s).ComputeFraction(%d) = %v, want %v", m.Name, hw.Name, b, got, want)
+		}
+		if got := Solo(m, hw, b); got != row.Solo(b) {
+			t.Errorf("Solo(%s, %s, %d) = %v, row says %v", m.Name, hw.Name, b, got, row.Solo(b))
+		}
+		if got := ComputeFraction(m, hw, b); math.Float64bits(got) != math.Float64bits(row.ComputeFraction(b)) {
+			t.Errorf("ComputeFraction(%s, %s, %d) = %v, row says %v", m.Name, hw.Name, b, got, row.ComputeFraction(b))
 		}
 	}
 }
@@ -154,6 +219,9 @@ func TestTableReadsAllocFree(t *testing.T) {
 	_ = e
 	if allocs := testing.AllocsPerRun(100, func() { Solo(m, hw, 48) }); allocs != 0 {
 		t.Errorf("Solo allocates %.1f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Resolve(m, hw).ComputeFraction(48) }); allocs != 0 {
+		t.Errorf("Resolve allocates %.1f objects/op for a catalog pair, want 0", allocs)
 	}
 	dst := make([]hardware.Spec, 0, 8)
 	if allocs := testing.AllocsPerRun(100, func() {
